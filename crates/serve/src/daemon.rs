@@ -1,24 +1,33 @@
 //! The daemon: a durable task queue in front of the campaign engines.
 //!
-//! Two long-lived threads share the [`TaskStore`]:
+//! Four long-lived threads share the [`TaskStore`]:
 //!
-//! * the **accept loop** (the caller's thread) parses HTTP requests,
-//!   journals submissions before acknowledging them, and answers
-//!   status/result/metrics queries;
+//! * the **accept loop** (the caller's thread) blocks in `accept()` and
+//!   hands each connection to a short-lived handler thread, which parses
+//!   the HTTP request, journals a submission before acknowledging it, or
+//!   answers a status/result/metrics query;
 //! * the **scheduler** claims every ready task, merges compatible
 //!   sweeps into one engine pass ([`crate::batch`]), runs it over the
 //!   shared `SolveCache`, and journals each member's terminal state —
 //!   retrying failed tasks under the [`RetryPolicy`] with exponential
 //!   backoff until they quarantine into `failed`. Backoff deadlines are
-//!   journaled with the task, so a restart does not reset them.
+//!   journaled with the task, so a restart does not reset them;
+//! * the **sampler** feeds the flight recorder (below);
+//! * the **watcher** is the one place that polls the signal tokens,
+//!   off the request path. A signal handler can only store an atomic,
+//!   so something has to notice it and wake the threads that block.
 //!
 //! Graceful drain: when [`ServeConfig::drain`] fires (the CLI wires it
-//! to SIGINT/SIGTERM) the accept loop stops taking connections, the
-//! engine pass in flight is cooperatively interrupted, its member
-//! tasks are durably re-enqueued (the in-flight checkpoint), and
-//! [`serve`] returns so the CLI can exit 75. The daemon then re-arms
-//! the signal handlers at [`ServeConfig::force`]: a second signal
-//! exits immediately instead of waiting for the drain.
+//! to SIGINT/SIGTERM) the watcher wakes the blocked `accept()` with a
+//! loopback self-connect (to `127.0.0.1`/`::1` when the listener is
+//! bound to a wildcard address), and notifies the scheduler's and the
+//! sampler's condvars. The accept loop sees the token, drops that
+//! connection and stops taking new ones; the engine pass in flight is
+//! cooperatively interrupted, its member tasks are durably re-enqueued
+//! (the in-flight checkpoint), open connections get a grace period, and
+//! [`serve`] returns so the CLI can exit 75. The watcher re-arms the
+//! signal handlers at [`ServeConfig::force`]: a second signal exits
+//! immediately instead of waiting for the drain.
 //!
 //! Degraded read-only mode: when a journal append fails (disk full,
 //! permissions yanked, device error) the daemon does not crash — it
@@ -69,15 +78,19 @@ use p7_sim::{
 use p7_workloads::Catalog;
 use serde::{Deserialize, Value};
 use std::io::{BufReader, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-/// How long the accept loop sleeps when no connection is pending, and
-/// therefore the worst-case latency to notice a drain request.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// The watcher's signal-token poll, and therefore the worst-case
+/// latency from a drain (or force) request to the daemon acting on it.
+const SIGNAL_POLL: Duration = Duration::from_millis(25);
+
+/// The accept loop's pause after a hard `accept()` error (`EMFILE`,
+/// `ECONNABORTED`, …), so a loop out of file descriptors cannot spin.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
 /// The scheduler's idle wait between queue scans (it is also woken
 /// eagerly on every submit and on drain). While degraded, this is also
@@ -107,9 +120,6 @@ const RECORDER_DIR: &str = "flightrec";
 /// flight-recorder log (at the default interval: one segment every
 /// two seconds).
 const RECORDER_PERSIST_EVERY: usize = 4;
-
-/// The sampler's drain-poll granularity while sleeping between frames.
-const SAMPLER_NAP: Duration = Duration::from_millis(50);
 
 /// Everything [`serve`] needs. Construct with [`ServeConfig::new`] and
 /// override fields as needed.
@@ -208,6 +218,79 @@ struct Health {
     degraded: Mutex<Option<String>>,
 }
 
+/// Locks `mutex`, surviving poisoning (a handler panic must not wedge
+/// the whole daemon).
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// A one-shot flag threads can block on: [`Latch::set`] wakes every
+/// waiter, and the latch stays set.
+#[derive(Default)]
+struct Latch {
+    set: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Latch {
+    /// Sets the latch and wakes every waiter; true if it was not set.
+    fn set(&self) -> bool {
+        let first = !std::mem::replace(&mut *lock(&self.set), true);
+        self.cv.notify_all();
+        first
+    }
+
+    /// Blocks until the latch is set or `timeout` passes; true if set.
+    fn wait(&self, timeout: Duration) -> bool {
+        let (set, _) = self
+            .cv
+            .wait_timeout_while(lock(&self.set), timeout, |set| !*set)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        *set
+    }
+}
+
+/// The live connection-handler count, with a condvar so a draining
+/// daemon waits for it to reach zero instead of polling it.
+#[derive(Default)]
+struct Connections {
+    live: Mutex<usize>,
+    idle: Condvar,
+}
+
+impl Connections {
+    /// Counts a connection in; false (nothing counted) when `cap` are
+    /// already live.
+    fn enter(&self, cap: usize) -> bool {
+        let mut live = lock(&self.live);
+        if *live >= cap {
+            return false;
+        }
+        *live += 1;
+        telemetry::connections().set(i64::try_from(*live).unwrap_or(i64::MAX));
+        true
+    }
+
+    /// Counts a connection out, waking [`Connections::wait_idle`] at zero.
+    fn leave(&self) {
+        let mut live = lock(&self.live);
+        *live -= 1;
+        telemetry::connections().set(i64::try_from(*live).unwrap_or(i64::MAX));
+        if *live == 0 {
+            self.idle.notify_all();
+        }
+    }
+
+    /// Waits up to `grace` for every connection to finish.
+    fn wait_idle(&self, grace: Duration) {
+        let _ = self
+            .idle
+            .wait_timeout_while(lock(&self.live), grace, |live| *live > 0);
+    }
+}
+
 /// State shared between the accept loop, handler threads and the
 /// scheduler.
 struct Shared {
@@ -216,6 +299,9 @@ struct Shared {
     /// scheduler's idle wait.
     wake: Condvar,
     drain: CancelToken,
+    /// Set once the drain has begun and every blocked thread was woken
+    /// ([`Shared::begin_drain`]); the sampler waits on it between frames.
+    drained: Latch,
     retry: RetryPolicy,
     jobs: usize,
     /// Optional per-batch watchdog deadline.
@@ -236,9 +322,20 @@ impl Shared {
     /// Locks the queue, surviving a poisoned mutex (a handler panic
     /// must not wedge the whole daemon).
     fn lock_queue(&self) -> MutexGuard<'_, TaskStore> {
-        self.queue
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        lock(&self.queue)
+    }
+
+    /// Wakes the threads that block (the scheduler's idle wait and the
+    /// sampler's wait for the next frame) so they see the drain token.
+    /// Idempotent; called by the watcher once it notices the token, and
+    /// by the accept loop when it stops.
+    fn begin_drain(&self) {
+        if self.drained.set() {
+            // Under the queue lock, so the notify cannot fall between
+            // the scheduler's token check and its wait.
+            let _queue = self.lock_queue();
+            self.wake.notify_all();
+        }
     }
 
     /// Refreshes the queue-depth gauge from the store.
@@ -248,10 +345,7 @@ impl Shared {
     }
 
     fn lock_degraded(&self) -> MutexGuard<'_, Option<String>> {
-        self.health
-            .degraded
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        lock(&self.health.degraded)
     }
 
     /// The degraded reason, if the daemon is currently shedding writes.
@@ -335,9 +429,6 @@ pub fn serve(config: ServeConfig) -> Result<(), ServeError> {
         addr: config.addr.clone(),
         reason: e.to_string(),
     })?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| ServeError::Runtime(format!("cannot set listener non-blocking: {e}")))?;
     let addr = listener
         .local_addr()
         .map_err(|e| ServeError::Runtime(format!("cannot read bound address: {e}")))?;
@@ -361,6 +452,7 @@ pub fn serve(config: ServeConfig) -> Result<(), ServeError> {
         queue: Mutex::new(store),
         wake: Condvar::new(),
         drain: config.drain.clone(),
+        drained: Latch::default(),
         retry: config.retry,
         jobs: config.jobs,
         deadline: config.batch_deadline,
@@ -376,109 +468,178 @@ pub fn serve(config: ServeConfig) -> Result<(), ServeError> {
     });
     shared.refresh_depth();
 
-    let sampler = {
-        let shared = Arc::clone(&shared);
-        let drain = config.drain.clone();
-        let interval = config.sample_interval;
-        std::thread::Builder::new()
-            .name("ags-serve-sampler".to_owned())
-            .spawn(move || sampler_loop(&shared, recorder_log, interval, &drain))
-            .ok() // Thread exhaustion: run without history.
-    };
+    // The watcher goes first, so every later exit path can stop it.
+    let watcher = Watcher::spawn(
+        Arc::clone(&shared),
+        wake_addr(addr),
+        config.handle_signals.then(|| config.force.clone()),
+    )
+    .map_err(|e| ServeError::Runtime(format!("cannot spawn watcher: {e}")))?;
 
     let scheduler = {
         let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
+        let spawned = std::thread::Builder::new()
             .name("ags-serve-scheduler".to_owned())
-            .spawn(move || scheduler_loop(&shared))
-            .map_err(|e| ServeError::Runtime(format!("cannot spawn scheduler: {e}")))?
+            .spawn(move || scheduler_loop(&shared));
+        match spawned {
+            Ok(handle) => handle,
+            Err(e) => {
+                watcher.stop();
+                return Err(ServeError::Runtime(format!("cannot spawn scheduler: {e}")));
+            }
+        }
     };
 
-    let active = Arc::new(AtomicUsize::new(0));
+    let sampler = {
+        let shared = Arc::clone(&shared);
+        let interval = config.sample_interval;
+        std::thread::Builder::new()
+            .name("ags-serve-sampler".to_owned())
+            .spawn(move || sampler_loop(&shared, recorder_log, interval))
+            .ok() // Thread exhaustion: run without history.
+    };
+
+    let connections = Arc::new(Connections::default());
     while !config.drain.is_cancelled() {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                telemetry::http_requests().inc();
-                if active.load(Ordering::Acquire) >= config.limits.max_connections {
-                    shed(stream, &config.limits);
-                    continue;
-                }
-                active.fetch_add(1, Ordering::AcqRel);
-                telemetry::connections()
-                    .set(i64::try_from(active.load(Ordering::Acquire)).unwrap_or(i64::MAX));
-                let shared = Arc::clone(&shared);
-                let conn_count = Arc::clone(&active);
-                let limits = config.limits.clone();
-                let spawned = std::thread::Builder::new()
-                    .name("ags-serve-conn".to_owned())
-                    .spawn(move || {
-                        handle_connection(stream, &shared, &limits);
-                        let now = conn_count.fetch_sub(1, Ordering::AcqRel) - 1;
-                        telemetry::connections().set(i64::try_from(now).unwrap_or(i64::MAX));
-                    });
-                if spawned.is_err() {
-                    // Thread exhaustion: count the connection back out
-                    // and shed it.
-                    let now = active.fetch_sub(1, Ordering::AcqRel) - 1;
-                    telemetry::connections().set(i64::try_from(now).unwrap_or(i64::MAX));
-                    telemetry::sheds().inc();
-                }
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
+            Err(e) => {
+                log_warn!("serve", error = e; "accept failed");
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+                continue;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+        };
+        if config.drain.is_cancelled() {
+            // The watcher's wake-up connection, or a client that raced
+            // the drain: dropped unanswered.
+            break;
+        }
+        telemetry::http_requests().inc();
+        if !connections.enter(config.limits.max_connections) {
+            shed(stream, &config.limits);
+            continue;
+        }
+        let shared = Arc::clone(&shared);
+        let conns = Arc::clone(&connections);
+        let limits = config.limits.clone();
+        let spawned = std::thread::Builder::new()
+            .name("ags-serve-conn".to_owned())
+            .spawn(move || {
+                handle_connection(stream, &shared, &limits);
+                conns.leave();
+            });
+        if spawned.is_err() {
+            // Thread exhaustion: count the connection back out and
+            // shed it.
+            connections.leave();
+            telemetry::sheds().inc();
         }
     }
 
-    // Drain begun: stop accepting (the listener drops below), re-arm
-    // the signal handlers so a second signal forces immediate exit,
-    // and let the scheduler checkpoint whatever is in flight.
+    // Drain begun: stop accepting (the listener drops here), make sure
+    // every blocked thread is awake, and let the scheduler checkpoint
+    // whatever is in flight.
     drop(listener);
-    if config.handle_signals {
-        rearm_cancel_on_signals(&config.force);
-        let force = config.force.clone();
-        std::thread::Builder::new()
-            .name("ags-serve-force".to_owned())
-            .spawn(move || loop {
-                if force.is_cancelled() {
-                    log_warn!("serve", "second signal — forcing immediate shutdown");
-                    std::process::exit(i32::from(EXIT_INTERRUPTED));
-                }
-                std::thread::sleep(Duration::from_millis(50));
-            })
-            .ok();
-    }
-    shared.wake.notify_all();
+    shared.begin_drain();
     let scheduler_ok = scheduler.join().is_ok();
-    // The sampler watches the same drain token; joining it flushes its
-    // buffered frames to the flight-recorder log.
+    // Joining the sampler flushes its buffered frames to the
+    // flight-recorder log.
     if let Some(handle) = sampler {
         let _ = handle.join();
     }
     if !scheduler_ok {
+        watcher.stop();
         return Err(ServeError::Runtime("scheduler thread panicked".to_owned()));
     }
-    let grace_deadline = Instant::now() + CONNECTION_DRAIN_GRACE;
-    while active.load(Ordering::Acquire) > 0 && Instant::now() < grace_deadline {
-        std::thread::sleep(ACCEPT_POLL);
-    }
+    connections.wait_idle(CONNECTION_DRAIN_GRACE);
+    watcher.stop();
     let open = shared.lock_queue().open_tasks();
     log_info!("serve", open = open, queue = config.journal.display();
         "drained — open tasks checkpointed");
     Ok(())
 }
 
+/// The running watcher thread ([`watch_signals`]).
+struct Watcher {
+    stop: Arc<Latch>,
+    handle: std::thread::JoinHandle<()>,
+}
+
+impl Watcher {
+    fn spawn(
+        shared: Arc<Shared>,
+        wake: SocketAddr,
+        force: Option<CancelToken>,
+    ) -> std::io::Result<Self> {
+        let stop = Arc::new(Latch::default());
+        let handle = {
+            let stop = Arc::clone(&stop);
+            std::thread::Builder::new()
+                .name("ags-serve-watcher".to_owned())
+                .spawn(move || watch_signals(&shared, wake, force.as_ref(), &stop))?
+        };
+        Ok(Watcher { stop, handle })
+    }
+
+    /// Stops the watcher and joins it.
+    fn stop(self) {
+        self.stop.set();
+        let _ = self.handle.join();
+    }
+}
+
+/// Where the watcher connects to wake a blocked `accept()` on `bound`:
+/// the address itself, or the loopback address of the same family when
+/// the listener is bound to a wildcard (`0.0.0.0`, `::`).
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// The watcher thread: the daemon's one signal-token poll, every
+/// [`SIGNAL_POLL`] until `stop` is set. Once the drain token fires it
+/// wakes every blocked thread ([`Shared::begin_drain`]), connects to
+/// `wake` so the blocked `accept()` returns, and — with `force` given
+/// (the CLI) — re-arms the signal handlers at the force token and exits
+/// the process if that fires too.
+fn watch_signals(shared: &Shared, wake: SocketAddr, force: Option<&CancelToken>, stop: &Latch) {
+    let mut armed = false;
+    let mut accept_woken = false;
+    while !stop.wait(SIGNAL_POLL) {
+        if !shared.drain.is_cancelled() {
+            continue;
+        }
+        shared.begin_drain();
+        if !accept_woken {
+            // The connection only has to reach the backlog; the accept
+            // loop sees the drain token and drops it. Retried next poll
+            // if it fails.
+            accept_woken = TcpStream::connect_timeout(&wake, SIGNAL_POLL).is_ok();
+        }
+        let Some(force) = force else {
+            continue;
+        };
+        if !armed {
+            rearm_cancel_on_signals(force);
+            armed = true;
+        }
+        if force.is_cancelled() {
+            log_warn!("serve", "second signal — forcing immediate shutdown");
+            std::process::exit(i32::from(EXIT_INTERRUPTED));
+        }
+    }
+}
+
 /// The sampler thread: snapshot the registry into the history ring
-/// every `interval`, persisting batches of frames to the recorder log.
+/// every `interval` until the drain, persisting batches of frames to
+/// the recorder log.
 /// Also the refresh point for gauges derived from queue state (the
 /// oldest-open-task age), so every frame carries a fresh reading.
-fn sampler_loop(
-    shared: &Shared,
-    mut log: Option<RecorderLog>,
-    interval: Duration,
-    drain: &CancelToken,
-) {
+fn sampler_loop(shared: &Shared, mut log: Option<RecorderLog>, interval: Duration) {
     let mut pending: Vec<FrameRecord> = Vec::new();
     loop {
         let age_ms = shared.lock_queue().oldest_open_age_ms(now_ms());
@@ -491,17 +652,9 @@ fn sampler_loop(
         if pending.len() >= RECORDER_PERSIST_EVERY {
             persist_frames(&mut log, &mut pending);
         }
-        let deadline = Instant::now() + interval;
-        loop {
-            if drain.is_cancelled() {
-                persist_frames(&mut log, &mut pending);
-                return;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            std::thread::sleep((deadline - now).min(SAMPLER_NAP));
+        if shared.drained.wait(interval) {
+            persist_frames(&mut log, &mut pending);
+            return;
         }
     }
 }
@@ -1934,6 +2087,99 @@ mod tests {
         handle.join().expect("serve thread").expect("clean drain");
     }
 
+    /// Waits up to `limit` for a drained daemon's `serve` to return.
+    fn join_within(
+        handle: std::thread::JoinHandle<Result<(), ServeError>>,
+        limit: Duration,
+        what: &str,
+    ) -> Result<(), ServeError> {
+        let deadline = Instant::now() + limit;
+        while !handle.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "{what}: serve did not return within {limit:?} of the drain"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        handle.join().expect("serve thread")
+    }
+
+    /// A drain with no traffic must wake the blocked `accept()`: on a
+    /// wildcard bind the watcher has to knock on loopback instead.
+    #[test]
+    fn drain_wakes_a_blocked_accept_without_traffic() {
+        for bind in ["0.0.0.0:0", "127.0.0.1:0"] {
+            let dir = tmpdir("wake");
+            let (_addr, drain, handle) = start_with(&dir, |c| c.addr = bind.to_owned());
+            // Let the accept loop block before the drain fires.
+            std::thread::sleep(Duration::from_millis(50));
+            drain.cancel();
+            join_within(handle, Duration::from_secs(1), bind).expect("clean drain");
+        }
+    }
+
+    #[test]
+    fn wake_addr_targets_loopback_for_wildcard_binds() {
+        let wake = |bound: &str| wake_addr(bound.parse().expect("socket address")).to_string();
+        assert_eq!(wake("0.0.0.0:7075"), "127.0.0.1:7075");
+        assert_eq!(wake("[::]:7075"), "[::1]:7075");
+        assert_eq!(wake("127.0.0.1:7075"), "127.0.0.1:7075");
+        assert_eq!(wake("192.0.2.7:80"), "192.0.2.7:80");
+        assert_eq!(wake("[::1]:9"), "[::1]:9");
+    }
+
+    /// The accept loop blocks in `accept()`, so no request waits on a
+    /// poll interval: the median sequential round trip over loopback
+    /// stays under 10 ms.
+    #[test]
+    fn sequential_requests_do_not_wait_on_accept() {
+        let dir = tmpdir("latency");
+        let (addr, drain, handle) = start(&dir);
+        let timed = |method: &str, path: &str, body: &str, want: u16| {
+            let started = Instant::now();
+            let (status, reply) = http(addr, method, path, body);
+            assert_eq!(status, want, "{method} {path}: {reply}");
+            started.elapsed()
+        };
+        let mut trips: Vec<Duration> = (0..20).map(|_| timed("GET", "/healthz", "", 200)).collect();
+        trips.push(timed(
+            "POST",
+            "/tasks",
+            "{\"kind\":\"sweep\",\"smoke\":true}",
+            202,
+        ));
+        trips.sort();
+        let median = trips[trips.len() / 2];
+        assert!(
+            median < Duration::from_millis(10),
+            "median round trip {median:?} (sorted: {trips:?})"
+        );
+        drain.cancel();
+        handle.join().expect("serve thread").expect("clean drain");
+    }
+
+    #[test]
+    fn connections_cap_and_wake_the_idle_wait() {
+        let conns = Arc::new(Connections::default());
+        assert!(conns.enter(1));
+        assert!(!conns.enter(1), "the cap refuses a second connection");
+        let leaver = {
+            let conns = Arc::clone(&conns);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                conns.leave();
+            })
+        };
+        let started = Instant::now();
+        conns.wait_idle(Duration::from_secs(30));
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "the last leave must wake the idle wait"
+        );
+        leaver.join().expect("leaver");
+        assert!(conns.enter(1), "a freed slot is reusable");
+    }
+
     #[test]
     fn cancel_and_error_semantics_via_routes() {
         // Routing semantics without a live scheduler: build the shared
@@ -1945,6 +2191,7 @@ mod tests {
             queue: Mutex::new(store),
             wake: Condvar::new(),
             drain: CancelToken::new(),
+            drained: Latch::default(),
             retry: RetryPolicy::no_retry(),
             jobs: 1,
             deadline: None,
