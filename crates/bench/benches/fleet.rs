@@ -1,8 +1,8 @@
 //! Benchmarks of the fleet engine's campaign throughput.
 //!
 //! `fleet_campaign_cold` runs a small flash-crowd campaign from an empty
-//! solve cache — every distinct operating point is simulated through the
-//! 16-lane group path. `fleet_campaign_warm` reruns the same campaign on
+//! solve cache — every distinct operating point is simulated once.
+//! `fleet_campaign_warm` reruns the same campaign on
 //! the populated cache, so it times the probe/placement/rollup overhead
 //! that remains once memoization has absorbed the solves. The pair is
 //! the single-worker throughput number EXPERIMENTS.md quotes; the

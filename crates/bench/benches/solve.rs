@@ -9,20 +9,12 @@
 //! With the `scalar-oracle` feature enabled, `solve_scalar_oracle`
 //! times the retained one-lane-at-a-time solver on the same workload —
 //! the differential baseline the SoA refactor is measured against.
-//!
-//! The `group_solve_*` family measures the lane-width question behind
-//! the fleet engine and the sweep workers: the same eight busy servers
-//! run for the same windows, either solo (each through its own
-//! `SolveBatch<2>` — the pre-group worker path) or grouped through
-//! `run_group` at 4, 8 and 16 lanes. `group_solve_lanes16_remainder`
-//! runs five servers through 16 lanes so the cost of masked tail lanes
-//! at non-multiple group sizes is measured, not assumed.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use p7_control::GuardbandMode;
-use p7_sim::{run_group, Assignment, ServerConfig, Simulation};
+use p7_sim::{Assignment, ServerConfig, Simulation};
 use p7_workloads::Catalog;
 
 /// A simulation with both sockets busy: a borrowed-core placement runs
@@ -51,57 +43,6 @@ fn bench_solve_batch(c: &mut Criterion) {
     });
 }
 
-/// `n` busy two-socket servers with distinct silicon seeds — the shape a
-/// fleet shard-epoch hands to `run_group`.
-fn busy_fleet(n: usize) -> Vec<Simulation> {
-    let w = Catalog::power7plus().get("raytrace").unwrap().clone();
-    (0..n)
-        .map(|i| {
-            let assignment = Assignment::borrowed(&w, 8).unwrap();
-            let mut sim = Simulation::new(
-                ServerConfig::power7plus(i as u64 + 1),
-                assignment,
-                GuardbandMode::Undervolt,
-            )
-            .unwrap();
-            for _ in 0..10 {
-                sim.tick();
-            }
-            sim
-        })
-        .collect()
-}
-
-const GROUP_SERVERS: usize = 8;
-const GROUP_WINDOWS: usize = 8;
-
-fn bench_group_width<const LANES: usize>(c: &mut Criterion, name: &str, servers: usize) {
-    let mut sims = busy_fleet(servers);
-    c.bench_function(name, |b| {
-        b.iter(|| {
-            let mut refs: Vec<&mut Simulation> = sims.iter_mut().collect();
-            black_box(run_group::<LANES>(&mut refs, GROUP_WINDOWS, 0))
-        });
-    });
-}
-
-fn bench_group_lanes(c: &mut Criterion) {
-    // Per-server baseline: each server solved alone through its own
-    // SolveBatch<2>, the pre-group sweep-worker path.
-    let mut sims = busy_fleet(GROUP_SERVERS);
-    c.bench_function("group_solve_solo", |b| {
-        b.iter(|| {
-            for sim in sims.iter_mut() {
-                black_box(sim.run(GROUP_WINDOWS, 0));
-            }
-        });
-    });
-    bench_group_width::<4>(c, "group_solve_lanes4", GROUP_SERVERS);
-    bench_group_width::<8>(c, "group_solve_lanes8", GROUP_SERVERS);
-    bench_group_width::<16>(c, "group_solve_lanes16", GROUP_SERVERS);
-    bench_group_width::<16>(c, "group_solve_lanes16_remainder", 5);
-}
-
 fn bench_solve_scalar_oracle(c: &mut Criterion) {
     #[cfg(feature = "scalar-oracle")]
     {
@@ -115,10 +56,5 @@ fn bench_solve_scalar_oracle(c: &mut Criterion) {
     let _ = c;
 }
 
-criterion_group!(
-    benches,
-    bench_solve_batch,
-    bench_group_lanes,
-    bench_solve_scalar_oracle
-);
+criterion_group!(benches, bench_solve_batch, bench_solve_scalar_oracle);
 criterion_main!(benches);

@@ -1,14 +1,11 @@
 //! The fleet engine: thousands of simulated servers sharded across
-//! workers, advanced through wide solver lanes, with deterministic
-//! work-stealing.
+//! workers, with deterministic work-stealing.
 //!
 //! # Sharding
 //!
 //! The fleet is cut into contiguous *shards* of [`FleetSpec::shard_servers`]
-//! servers. A shard is the unit of everything: worker scheduling, panic
-//! quarantine, journal checkpoints, and — because its default size packs a
-//! 16-lane [`SolveBatch`](p7_sim::SolveBatch) exactly — one wide-lane
-//! kernel pass per epoch. Each shard's result is a pure function of
+//! servers. A shard is the unit of worker scheduling, panic quarantine and
+//! journal checkpoints. Each shard's result is a pure function of
 //! `(spec, shard index)`: demand is open-loop, per-server seeds and
 //! tenants derive from the spec, and the memoized solve cache only ever
 //! short-circuits work whose value is already determined. Workers
@@ -36,10 +33,10 @@ use p7_obs::trace;
 use p7_sim::journal::{fnv64, OpenedJournal};
 use p7_sim::sweep::{experiment_fingerprint, resolve_jobs, CacheStats};
 use p7_sim::{
-    run_group, Assignment, DurableOptions, Experiment, FailedPoint, JournalMode, Outcome,
-    RetryPolicy, ServerConfig, SimError, Simulation, SolveCache,
+    Assignment, DurableOptions, Experiment, FailedPoint, JournalMode, Outcome, RetryPolicy,
+    ServerConfig, SimError, SolveCache,
 };
-use p7_types::{CORES_PER_SOCKET, NUM_SOCKETS};
+use p7_types::CORES_PER_SOCKET;
 use p7_workloads::{Catalog, ExecutionModel, WorkloadProfile};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -47,11 +44,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
-
-/// Solver lanes per fleet group solve: the widest batch the SoA kernel
-/// ships, fitting [`crate::spec::DEFAULT_SHARD_SERVERS`] two-socket
-/// servers exactly.
-pub const FLEET_GROUP_LANES: usize = 16;
 
 /// The guardband mode every fleet server runs: the paper's adaptive
 /// guardband (undervolted, CPM-protected) — the configuration whose
@@ -314,13 +306,6 @@ struct FleetContext {
     tenants: Vec<Tenant>,
 }
 
-/// Per-worker scratch. Rebuilt from `Default` after a caught panic, since
-/// the unwound solve may have left it mid-use.
-#[derive(Default)]
-struct FleetScratch {
-    probe: Vec<Option<Arc<Outcome>>>,
-}
-
 /// What one shard's isolated attempt loop produced (mirrors the sweep
 /// executor's verdicts).
 enum ShardSolved {
@@ -334,7 +319,7 @@ enum ShardSolved {
 }
 
 /// The fleet campaign runner: shards servers across `jobs` workers and
-/// advances each shard through [`FLEET_GROUP_LANES`]-wide solver batches.
+/// solves each shard's server-epochs through the memoized solve cache.
 pub struct FleetEngine {
     jobs: usize,
     cache: Arc<SolveCache>,
@@ -483,19 +468,17 @@ impl FleetEngine {
         })
     }
 
-    /// Solves one shard: every server's trajectory through every epoch.
-    /// Cache misses of one epoch are batched through a single
-    /// [`FLEET_GROUP_LANES`]-wide group solve. Returns the result plus
-    /// its journal-worthiness (any epoch actually computed).
+    /// Solves one shard: every server's trajectory through every epoch,
+    /// one memoized [`Experiment::run`] per active server-epoch. Returns
+    /// the result plus its journal-worthiness (any epoch actually
+    /// computed).
     fn solve_shard(
         &self,
         ctx: &FleetContext,
         shard: usize,
-        scratch: &mut FleetScratch,
     ) -> Result<(ShardResult, bool), SimError> {
         let spec = &ctx.spec;
         let range = spec.shard_range(shard);
-        let base = range.start;
         let mut servers: Vec<ServerResult> = range
             .clone()
             .map(|server| ServerResult {
@@ -505,85 +488,32 @@ impl FleetEngine {
             })
             .collect();
         let mut journal_worthy = false;
-
-        // (local index, threads, assignment, assignment fingerprint) of
-        // the epoch's cache misses, group-solved below.
-        let mut missing: Vec<(usize, usize, Assignment, u64)> = Vec::new();
-        let mut sims: Vec<Simulation> = Vec::new();
         for epoch in 0..spec.epochs {
-            missing.clear();
-            for server in range.clone() {
-                let local = server - base;
+            for (server, result) in range.clone().zip(servers.iter_mut()) {
                 let threads = offered_threads(spec, server, epoch);
                 if threads == 0 {
                     telemetry::idle_server_epochs().inc();
-                    servers[local].epochs.push(EpochOutcome::standby());
+                    result.epochs.push(EpochOutcome::standby());
                     continue;
                 }
                 telemetry::server_epochs().inc();
                 let tenant = &ctx.tenants[server];
                 let assignment = place(&tenant.workload, threads)?;
-                let assignment_fp = fnv64(serde::json::to_string(&assignment).as_bytes());
-                self.cache.probe_lanes(
+                let (solved, computed) = self.cache.solve_with(
                     tenant.experiment_fp,
-                    assignment_fp,
-                    &[FLEET_MODE],
-                    spec.measure_ticks,
-                    spec.warmup_ticks,
-                    0,
-                    &mut scratch.probe,
-                );
-                match scratch.probe[0].take() {
-                    Some(hit) => servers[local]
-                        .epochs
-                        .push(EpochOutcome::from_outcome(&hit, threads)),
-                    None => {
-                        // Placeholder, replaced after the group solve.
-                        servers[local].epochs.push(EpochOutcome::standby());
-                        missing.push((local, threads, assignment, assignment_fp));
-                    }
-                }
-            }
-            if missing.is_empty() {
-                continue;
-            }
-
-            sims.clear();
-            for (local, _, assignment, _) in &missing {
-                sims.push(
-                    ctx.tenants[base + local]
-                        .experiment
-                        .build_simulation(assignment, FLEET_MODE)?,
-                );
-            }
-            let lanes_per_group = FLEET_GROUP_LANES / NUM_SOCKETS;
-            for group in sims.chunks(lanes_per_group) {
-                #[allow(clippy::cast_precision_loss)]
-                telemetry::group_lanes().observe((group.len() * NUM_SOCKETS) as f64);
-            }
-            let mut refs: Vec<&mut Simulation> = sims.iter_mut().collect();
-            let summaries =
-                run_group::<FLEET_GROUP_LANES>(&mut refs, spec.measure_ticks, spec.warmup_ticks);
-
-            for ((local, threads, assignment, assignment_fp), summary) in
-                missing.drain(..).zip(summaries)
-            {
-                let tenant = &ctx.tenants[base + local];
-                let outcome = tenant.experiment.outcome_from_summary(&assignment, summary);
-                let (solved, computed) = self.cache.solve_with_status(
-                    tenant.experiment_fp,
-                    assignment_fp,
+                    fnv64(serde::json::to_string(&assignment).as_bytes()),
                     FLEET_MODE,
                     spec.measure_ticks,
                     spec.warmup_ticks,
                     0,
-                    || Ok(outcome),
+                    || tenant.experiment.run(&assignment, FLEET_MODE),
                 )?;
                 journal_worthy |= computed;
-                servers[local].epochs[epoch] = EpochOutcome::from_outcome(&solved, threads);
+                result
+                    .epochs
+                    .push(EpochOutcome::from_outcome(&solved, threads));
             }
         }
-
         Ok((ShardResult { shard, servers }, journal_worthy))
     }
 
@@ -652,15 +582,14 @@ impl FleetEngine {
             }
         };
 
-        let solve_one = |scratch: &mut FleetScratch, shard: usize| {
+        let solve_one = |shard: usize| {
             if let Some(inject) = &options.panic_injector {
                 assert!(!inject(shard), "injected panic at fleet shard {shard}");
             }
-            self.solve_shard(ctx, shard, scratch)
+            self.solve_shard(ctx, shard)
         };
 
         if jobs <= 1 {
-            let mut scratch = FleetScratch::default();
             for shard in 0..n {
                 if opts.cancel.is_cancelled() {
                     break;
@@ -672,7 +601,7 @@ impl FleetEngine {
                 let solved = {
                     let span = trace::span("fleet_shard", shard as u64);
                     let _ctx = span.push();
-                    attempt_shard(&solve_one, &mut scratch, shard, &opts.retry)
+                    attempt_shard(&solve_one, shard, &opts.retry)
                 };
                 absorb(
                     shard,
@@ -704,8 +633,7 @@ impl FleetEngine {
                     let retry = &opts.retry;
                     scope.spawn(move || {
                         let _tctx = trace::push_context(ctx);
-                        let mut scratch = FleetScratch::default();
-                        let mut work = || {
+                        let work = || {
                             // Own range first (delta 0), then the other
                             // ranges in a fixed rotation.
                             for delta in 0..jobs {
@@ -729,7 +657,7 @@ impl FleetEngine {
                                     let solved = {
                                         let span = trace::span("fleet_shard", shard as u64);
                                         let _ctx = span.push();
-                                        attempt_shard(solve_one, &mut scratch, shard, retry)
+                                        attempt_shard(solve_one, shard, retry)
                                     };
                                     if tx.send((shard, solved)).is_err() {
                                         return;
@@ -824,26 +752,20 @@ fn place(workload: &WorkloadProfile, threads: usize) -> Result<Assignment, SimEr
 }
 
 /// One shard's isolated attempt loop: `catch_unwind` around the solve,
-/// bounded backoff retries with scratch rebuilt after each caught panic,
-/// quarantine after the final one (mirrors the sweep executor).
-fn attempt_shard<F>(
-    f: &F,
-    scratch: &mut FleetScratch,
-    shard: usize,
-    retry: &RetryPolicy,
-) -> ShardSolved
+/// bounded backoff retries after each caught panic, quarantine after the
+/// final one (mirrors the sweep executor).
+fn attempt_shard<F>(f: &F, shard: usize, retry: &RetryPolicy) -> ShardSolved
 where
-    F: Fn(&mut FleetScratch, usize) -> Result<(ShardResult, bool), SimError>,
+    F: Fn(usize) -> Result<(ShardResult, bool), SimError>,
 {
     let attempts = retry.max_attempts.max(1);
     let mut reason = String::new();
     for attempt in 1..=attempts {
-        match catch_unwind(AssertUnwindSafe(|| f(scratch, shard))) {
+        match catch_unwind(AssertUnwindSafe(|| f(shard))) {
             Ok(Ok((value, journal_worthy))) => return ShardSolved::Done(value, journal_worthy),
             Ok(Err(e)) => return ShardSolved::Hard(e),
             Err(payload) => {
                 reason = panic_message(payload.as_ref());
-                *scratch = FleetScratch::default();
                 if attempt < attempts {
                     std::thread::sleep(retry.backoff_before(attempt));
                 }

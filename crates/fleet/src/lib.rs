@@ -8,12 +8,11 @@
 //! advances every server through the campaign's epochs:
 //!
 //! * **Sharding** — servers are cut into contiguous shards, each solved by
-//!   one worker with private scratch; nothing on the tick path is shared
-//!   mutable state.
-//! * **Wide lanes** — each shard-epoch's unsolved servers are packed into
-//!   one 16-lane [`p7_sim::SolveBatch`] group solve
-//!   ([`p7_sim::run_group`]), so the SoA kernel runs at full width instead
-//!   of two lanes per server.
+//!   one worker; nothing on the tick path is shared mutable state.
+//! * **One solve path** — every active server-epoch is one memoized
+//!   [`p7_sim::Experiment::run`] through the shared
+//!   [`p7_sim::SolveCache`]; a miss ticks that server alone through its
+//!   own two-socket [`p7_sim::SolveBatch`].
 //! * **Work stealing** — idle workers claim whole shards from other
 //!   workers' ranges in a fixed rotation. Stealing moves *where* a shard
 //!   is computed, never *what*: reports are byte-identical at any
@@ -37,7 +36,7 @@ pub mod traffic;
 
 pub use engine::{
     offered_threads, EpochOutcome, EpochRollup, FleetEngine, FleetReport, FleetRunOptions,
-    FleetStats, ServerResult, ShardPanicInjector, ShardResult, FLEET_GROUP_LANES, FLEET_MODE,
+    FleetStats, ServerResult, ShardPanicInjector, ShardResult, FLEET_MODE,
 };
 pub use spec::{FleetSpec, DEFAULT_SHARD_SERVERS};
 pub use traffic::TrafficModel;

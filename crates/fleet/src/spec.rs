@@ -7,9 +7,9 @@ use p7_sim::{CampaignManifest, SimError};
 use p7_workloads::Catalog;
 use serde::{Deserialize, Serialize};
 
-/// Default servers per shard: one shard's sockets exactly fill a
-/// 16-lane solve group, so a worker converges a whole shard-epoch in a
-/// single kernel pass.
+/// Default servers per shard. A shard is the unit of worker scheduling,
+/// stealing and journaling: smaller shards steal more evenly, larger
+/// ones write fewer journal entries.
 pub const DEFAULT_SHARD_SERVERS: usize = 8;
 
 /// A complete fleet campaign description.

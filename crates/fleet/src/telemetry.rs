@@ -8,13 +8,8 @@
 //! only these scheduling counters (and `*_seconds` families elsewhere) see
 //! the machine.
 
-use p7_obs::metrics::{global, Counter, Histogram};
+use p7_obs::metrics::{global, Counter};
 use std::sync::{Arc, OnceLock};
-
-/// Bucket bounds for solver-lane occupancy per fleet group solve. A group
-/// packs up to 8 two-socket servers into a 16-lane batch; low buckets mean
-/// the cache already held most of the epoch's operating points.
-pub const GROUP_LANES_BOUNDS: &[f64] = &[2.0, 4.0, 8.0, 12.0, 16.0];
 
 macro_rules! counter_accessor {
     ($(#[$doc:meta])* $fn_name:ident, $name:literal, $help:literal) => {
@@ -22,16 +17,6 @@ macro_rules! counter_accessor {
         pub fn $fn_name() -> &'static Arc<Counter> {
             static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
             HANDLE.get_or_init(|| global().counter($name, $help))
-        }
-    };
-}
-
-macro_rules! histogram_accessor {
-    ($(#[$doc:meta])* $fn_name:ident, $name:literal, $help:literal, $bounds:expr) => {
-        $(#[$doc])*
-        pub fn $fn_name() -> &'static Arc<Histogram> {
-            static HANDLE: OnceLock<Arc<Histogram>> = OnceLock::new();
-            HANDLE.get_or_init(|| global().histogram($name, $help, $bounds))
         }
     };
 }
@@ -65,14 +50,6 @@ counter_accessor!(
     "Fleet server-epochs spent in standby (idle or draining)"
 );
 
-histogram_accessor!(
-    /// Solver lanes occupied per fleet group solve.
-    group_lanes,
-    "ags_fleet_group_lanes",
-    "Solver lanes occupied per fleet group solve (2 per simulated server)",
-    GROUP_LANES_BOUNDS
-);
-
 /// Touches every fleet metric family so exporters see the full schema
 /// (zero-valued included) before any fleet campaign runs.
 pub fn register_all() {
@@ -80,7 +57,6 @@ pub fn register_all() {
     let _ = shards_stolen();
     let _ = server_epochs();
     let _ = idle_server_epochs();
-    let _ = group_lanes();
 }
 
 #[cfg(test)]
@@ -96,6 +72,5 @@ mod tests {
         shards_stolen().inc();
         assert_eq!(shards_stolen().get(), before + 1);
         global().set_enabled(enabled_before);
-        assert!(GROUP_LANES_BOUNDS.windows(2).all(|w| w[0] < w[1]));
     }
 }

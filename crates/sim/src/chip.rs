@@ -340,11 +340,9 @@ impl ChipSim {
 
     /// The original array-of-structs fixed-point solve, retained verbatim
     /// as the differential-test oracle. The batched SoA kernel in
-    /// [`crate::solve`] must reproduce this loop bit for bit. Crate-visible
-    /// so the group ticker can keep oracle simulations on the scalar path
-    /// while batching their neighbours.
+    /// [`crate::solve`] must reproduce this loop bit for bit.
     #[cfg(feature = "scalar-oracle")]
-    pub(crate) fn solve_scalar(&self, rail: &Rail, prelude: &TickPrelude) -> LaneSolution {
+    fn solve_scalar(&self, rail: &Rail, prelude: &TickPrelude) -> LaneSolution {
         let activities = &prelude.activities;
         let freqs = &prelude.freqs;
         let temp = self.thermal.temperature();

@@ -1,5 +1,10 @@
 //! One-call experiment wrapper: run, settle, and report power,
 //! performance, energy and EDP like the paper's measurement scripts.
+//!
+//! [`Experiment::run_with`] is the one place a solve happens: it resets a
+//! [`Simulation`], ticks it through its own two-socket
+//! [`crate::solve::SolveBatch`] and derives the [`Outcome`]. The sweep and
+//! fleet engines memoize calls to it through [`crate::sweep::SolveCache`].
 
 use crate::assignment::Assignment;
 use crate::config::ServerConfig;
@@ -195,17 +200,7 @@ impl Experiment {
     pub fn run_with(&self, sim: &mut Simulation, mode: GuardbandMode) -> Result<Outcome, SimError> {
         sim.reset(mode)?;
         let summary = sim.run(self.measure_ticks, self.warmup_ticks);
-        Ok(self.outcome_from_summary(sim.assignment(), summary))
-    }
-
-    /// Derives the full [`Outcome`] (execution time, energy, EDP) from an
-    /// already-measured [`RunSummary`] of `assignment` under this runner's
-    /// configuration. This is [`Experiment::run_with`]'s tail, split out
-    /// for callers that produce summaries some other way — the group
-    /// ticker ([`crate::group::run_group`]) measures many servers per
-    /// solve pass and finishes each one here.
-    #[must_use]
-    pub fn outcome_from_summary(&self, assignment: &Assignment, summary: RunSummary) -> Outcome {
+        let assignment = sim.assignment();
         let freq_ratio = if assignment.total_threads() > 0 {
             summary.freq_ratio(self.config.target_frequency)
         } else {
@@ -218,12 +213,12 @@ impl Experiment {
             None => Seconds(0.0),
         };
         let energy = summary.total_power * exec_time;
-        Outcome {
+        Ok(Outcome {
             edp: energy.0 * exec_time.0,
             summary,
             exec_time,
             energy,
-        }
+        })
     }
 
     /// Convenience: the paper's headline comparison — relative improvement

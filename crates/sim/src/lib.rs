@@ -39,7 +39,6 @@ pub mod config;
 pub mod error;
 pub mod experiment;
 pub mod fsck;
-pub mod group;
 pub mod history;
 pub mod journal;
 pub mod measure;
@@ -56,7 +55,6 @@ pub use config::ServerConfig;
 pub use error::SimError;
 pub use experiment::{Experiment, Outcome, DEFAULT_MEASURE_TICKS, DEFAULT_WARMUP_TICKS};
 pub use fsck::{FsckReport, ManifestStatus, SegmentVerdict};
-pub use group::{run_group, GroupTicker};
 pub use history::{History, SimEvent, SimEventKind, TickRecord};
 pub use journal::{
     CampaignManifest, CancelToken, DurableOptions, FailedPoint, Journal, JournalMode, RetryPolicy,
@@ -68,6 +66,6 @@ pub use solve::{LaneSolution, LaneSpec, SolveBatch, MAX_SOLVE_ITERATIONS, SOLVE_
 pub use sweep::{
     experiment_fingerprint, CacheStats, CachedExperiment, GridPoint, PanicInjector, Placement,
     PointResult, SolveCache, SweepEngine, SweepReport, SweepRunOptions, SweepSpec,
-    DEFAULT_CACHE_CAPACITY, GROUP_SOLVE_LANES,
+    DEFAULT_CACHE_CAPACITY,
 };
 pub use vfs::{std_fs, DynFs, Fs, StdFs};

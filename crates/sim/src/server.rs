@@ -25,11 +25,11 @@ use p7_types::{
 pub const WINDOW: Seconds = Seconds(0.032);
 
 /// The pre-solve state of one window, produced by
-/// [`Simulation::begin_tick`] and consumed by the solve strategy and
+/// [`Simulation::begin_tick`] and consumed by the socket solve and
 /// [`Simulation::settle_tick`]. Fixed-size, so splitting a tick in half
 /// keeps the warm path allocation-free.
 #[derive(Debug, Clone)]
-pub(crate) struct TickSetup {
+struct TickSetup {
     /// This window's fault effects, when a plan is installed.
     fault_windows: Option<[SocketWindow; NUM_SOCKETS]>,
     /// Rail snapshots taken before the solve.
@@ -496,20 +496,18 @@ impl Simulation {
     /// the returned ticks, the CPM readouts and the rail snapshot are all
     /// fixed-size values.
     pub fn tick(&mut self) -> [SocketTick; NUM_SOCKETS] {
-        let span = trace::span("tick", self.tick_index as u64);
-        let _ctx = span.push();
+        // Not pushed as the trace context: the per-socket solve spans
+        // open beside the tick, under the same caller span (a sweep
+        // point, a fleet shard).
+        let _span = trace::span("tick", self.tick_index as u64);
         let setup = self.begin_tick();
         let ticks = self.solve_sockets(&setup.rails, setup.modes, setup.droop_scales);
         self.settle_tick(&setup, ticks)
     }
 
     /// The pre-solve half of a window: fault effects applied, rails
-    /// snapshotted, effective modes and droop scales resolved. Split out of
-    /// [`Simulation::tick`] so the group ticker in [`crate::group`] can
-    /// interleave many servers' windows through one wide [`SolveBatch`].
-    /// Does not open the `"tick"` trace span — the caller owns it so the
-    /// span brackets whatever solve strategy is used.
-    pub(crate) fn begin_tick(&mut self) -> TickSetup {
+    /// snapshotted, effective modes and droop scales resolved.
+    fn begin_tick(&mut self) -> TickSetup {
         let tick_index = self.tick_index;
         telemetry::sim_ticks().inc();
         // Fault effects for this window, resolved purely from the plan
@@ -549,7 +547,7 @@ impl Simulation {
     /// undervolt servo, safety monitoring, and the time/window advance.
     /// `ticks` must be the solutions for the setup this window's
     /// [`Simulation::begin_tick`] returned.
-    pub(crate) fn settle_tick(
+    fn settle_tick(
         &mut self,
         setup: &TickSetup,
         ticks: [SocketTick; NUM_SOCKETS],
@@ -603,71 +601,6 @@ impl Simulation {
         self.time += WINDOW;
         self.tick_index += 1;
         ticks
-    }
-
-    /// The window index the next [`Simulation::tick`] will run (also the
-    /// `"tick"` span key the group ticker uses).
-    pub(crate) fn next_tick_index(&self) -> usize {
-        self.tick_index
-    }
-
-    /// Whether this simulation routes solves through the scalar oracle —
-    /// such servers keep their scalar path even inside a group tick.
-    #[cfg(feature = "scalar-oracle")]
-    pub(crate) fn wants_scalar_oracle(&self) -> bool {
-        self.use_scalar_oracle
-    }
-
-    /// Without the `scalar-oracle` feature no simulation is an oracle.
-    #[cfg(not(feature = "scalar-oracle"))]
-    pub(crate) fn wants_scalar_oracle(&self) -> bool {
-        false
-    }
-
-    /// Step 1–2 of every socket's window (activity draw + DPLL settle),
-    /// for a caller that batches the solves itself.
-    pub(crate) fn begin_windows(&mut self, setup: &TickSetup) -> [TickPrelude; NUM_SOCKETS] {
-        std::array::from_fn(|i| self.chips[i].begin_window(setup.modes[i]))
-    }
-
-    /// One socket's solver lane inputs for this window.
-    pub(crate) fn lane_spec<'a>(
-        &'a self,
-        socket: usize,
-        setup: &'a TickSetup,
-        prelude: &'a TickPrelude,
-    ) -> crate::solve::LaneSpec<'a> {
-        self.chips[socket].lane_spec(&setup.rails[socket], prelude)
-    }
-
-    /// One socket's window solved on the retained scalar oracle path.
-    #[cfg(feature = "scalar-oracle")]
-    pub(crate) fn solve_scalar_socket(
-        &self,
-        socket: usize,
-        setup: &TickSetup,
-        prelude: &TickPrelude,
-    ) -> crate::solve::LaneSolution {
-        self.chips[socket].solve_scalar(&setup.rails[socket], prelude)
-    }
-
-    /// Steps 4–8 of every socket's window from externally solved lanes.
-    pub(crate) fn finish_windows(
-        &mut self,
-        setup: &TickSetup,
-        preludes: &[TickPrelude; NUM_SOCKETS],
-        solutions: &[crate::solve::LaneSolution; NUM_SOCKETS],
-    ) -> [SocketTick; NUM_SOCKETS] {
-        std::array::from_fn(|i| {
-            self.chips[i].finish_window(
-                &setup.rails[i],
-                setup.modes[i],
-                WINDOW,
-                setup.droop_scales[i],
-                &preludes[i],
-                &solutions[i],
-            )
-        })
     }
 
     /// Solves every socket's window as one [`SolveBatch`]: both sockets'
@@ -740,7 +673,7 @@ impl Simulation {
         )
     }
 
-    pub(crate) fn running_mask(&self) -> [[bool; CORES_PER_SOCKET]; NUM_SOCKETS] {
+    fn running_mask(&self) -> [[bool; CORES_PER_SOCKET]; NUM_SOCKETS] {
         let mut mask = [[false; CORES_PER_SOCKET]; NUM_SOCKETS];
         for socket in SocketId::all() {
             for core in CoreId::all() {

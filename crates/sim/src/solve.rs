@@ -266,9 +266,8 @@ impl<const LANES: usize> SolveBatch<LANES> {
 
     /// Advances every loaded lane to its fixed point.
     ///
-    /// Records the batch occupancy and, per iteration, how many lanes
-    /// converged, in the `ags_solve_batch_occupancy` /
-    /// `ags_solve_lanes_converged` telemetry families; each lane also
+    /// Records, per iteration, how many lanes converged in the
+    /// `ags_solve_lanes_converged` telemetry family; each lane also
     /// emits the same per-socket `solve` span and
     /// `ags_solve_iterations` observation the scalar path produced.
     // Index loops, not iterator zips: the kernel reads and writes many
@@ -278,8 +277,6 @@ impl<const LANES: usize> SolveBatch<LANES> {
         if self.occupancy() == 0 {
             return;
         }
-        #[allow(clippy::cast_precision_loss)]
-        telemetry::solve_batch_occupancy().observe(self.occupancy() as f64);
         let mut spans: [Option<p7_obs::trace::Span>; LANES] = std::array::from_fn(|_| None);
         for lane in 0..LANES {
             if self.occupied[lane] {

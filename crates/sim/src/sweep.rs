@@ -26,7 +26,6 @@
 use crate::assignment::Assignment;
 use crate::error::SimError;
 use crate::experiment::{Experiment, Outcome};
-use crate::group::run_group;
 use crate::journal::{
     fnv64, run_durable_indexed, CampaignManifest, DurableOptions, FailedPoint, JournalMode,
     OpenedJournal,
@@ -566,102 +565,25 @@ impl SolveCache {
         GLOBAL.get_or_init(|| Arc::new(SolveCache::new())).clone()
     }
 
-    /// Runs `experiment.run(assignment, mode)`, answering from the cache
-    /// when an identical solve was already computed.
+    /// The memoized solve: the caller supplies the fingerprints and a
+    /// closure that computes the outcome on a miss. A hit is one hash
+    /// lookup, no serialization at all. `assignment_fp` MUST be the
+    /// [`fingerprint`]-style hash of the assignment the closure runs, and
+    /// `fault_fp` MUST be the [`Experiment::fault_fingerprint`] of the
+    /// experiment (0 when healthy), or equivalent solves will not share
+    /// entries — and faulted solves would poison healthy ones.
     ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when the underlying run fails.
-    pub fn solve(
-        &self,
-        experiment: &Experiment,
-        assignment: &Assignment,
-        mode: GuardbandMode,
-    ) -> Result<Arc<Outcome>, SimError> {
-        self.solve_fingerprinted(
-            experiment_fingerprint(experiment),
-            experiment,
-            assignment,
-            mode,
-        )
-    }
-
-    /// [`SolveCache::solve`] with the experiment's fingerprint already
-    /// computed — callers that reuse one experiment (or one execution
-    /// model) across many solves hoist the serialization out of the
-    /// loop. `experiment_fp` MUST be [`experiment_fingerprint`] of
-    /// `experiment`, or equivalent solves will not share entries.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when the underlying run fails.
-    pub fn solve_fingerprinted(
-        &self,
-        experiment_fp: u64,
-        experiment: &Experiment,
-        assignment: &Assignment,
-        mode: GuardbandMode,
-    ) -> Result<Arc<Outcome>, SimError> {
-        self.solve_with(
-            experiment_fp,
-            fingerprint(assignment),
-            mode,
-            experiment.measure_ticks(),
-            experiment.warmup_ticks(),
-            experiment.fault_fingerprint(),
-            || experiment.run(assignment, mode),
-        )
-    }
-
-    /// The core memoized solve: the caller supplies the fingerprints and
-    /// a closure that computes the outcome on a miss. This is the warm
-    /// fast path — a hit is one hash lookup, no serialization at all.
-    /// `assignment_fp` MUST be the [`fingerprint`]-style hash of the
-    /// assignment the closure runs, and `fault_fp` MUST be the
-    /// [`Experiment::fault_fingerprint`] of the experiment (0 when
-    /// healthy), or equivalent solves will not share entries — and
-    /// faulted solves would poison healthy ones.
+    /// Also reports whether the outcome was computed by the closure
+    /// (`true`, a miss) or served from the cache (`false`, a hit).
+    /// Durable campaigns journal only computed results: a hit costs
+    /// nothing to reproduce after a crash, so checkpointing it would buy
+    /// no durability.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] when the miss closure fails.
     #[allow(clippy::too_many_arguments)]
     pub fn solve_with<F>(
-        &self,
-        experiment_fp: u64,
-        assignment_fp: u64,
-        mode: GuardbandMode,
-        measure_ticks: usize,
-        warmup_ticks: usize,
-        fault_fp: u64,
-        solve: F,
-    ) -> Result<Arc<Outcome>, SimError>
-    where
-        F: FnOnce() -> Result<Outcome, SimError>,
-    {
-        self.solve_with_status(
-            experiment_fp,
-            assignment_fp,
-            mode,
-            measure_ticks,
-            warmup_ticks,
-            fault_fp,
-            solve,
-        )
-        .map(|(outcome, _)| outcome)
-    }
-
-    /// [`SolveCache::solve_with`], also reporting whether the outcome
-    /// was computed by the closure (`true`, a miss) or served from the
-    /// cache (`false`, a hit). Durable sweeps journal only computed
-    /// points: a hit costs nothing to reproduce after a crash, so
-    /// checkpointing it would buy no durability.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] when the miss closure fails.
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_with_status<F>(
         &self,
         experiment_fp: u64,
         assignment_fp: u64,
@@ -714,16 +636,14 @@ impl SolveCache {
     }
 
     /// Probes a whole lane block — every guardband mode of one
-    /// `(experiment, assignment)` — with **one** lock acquisition per
-    /// distinct shard touched (modes of one block deliberately spread
-    /// across shards, so this is one short lock per lane), filling `out`
-    /// with `Some(outcome)` per present lane and `None` per absent one.
+    /// `(experiment, assignment)` — taking one short shard lock per lane,
+    /// and fills `out` with `Some(outcome)` per present lane and `None`
+    /// per absent one. No engine calls this; it is kept for `agsbench`'s
+    /// `sim.cache.probe_us` probe.
     ///
-    /// Counting stays per lane, never per batch: each present lane bumps
-    /// the hit counter exactly once here, and each absent lane is expected
-    /// to go through [`SolveCache::solve_with_status`] individually, which
-    /// records its miss. A point therefore counts exactly once whichever
-    /// path answers it.
+    /// Counting stays per lane: each present lane bumps the hit counter
+    /// exactly once here, and an absent lane records its miss only when
+    /// it later goes through [`SolveCache::solve_with`].
     ///
     /// The fingerprint arguments carry the same contracts as
     /// [`SolveCache::solve_with`].
@@ -780,18 +700,6 @@ impl SolveCache {
             contended: self.contended.load(Ordering::Relaxed),
         }
     }
-
-    /// Current counters.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use SolveCache::counters() for per-instance numbers, or read the \
-                ags_solve_cache_* families from the p7-obs registry \
-                (p7_obs::metrics::global().snapshot() or `ags … --metrics`)"
-    )]
-    #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        self.counters()
-    }
 }
 
 /// An [`Experiment`] that routes every run through a [`SolveCache`].
@@ -846,8 +754,18 @@ impl CachedExperiment {
         assignment: &Assignment,
         mode: GuardbandMode,
     ) -> Result<Arc<Outcome>, SimError> {
+        let experiment = &self.experiment;
         self.cache
-            .solve_fingerprinted(self.experiment_fp, &self.experiment, assignment, mode)
+            .solve_with(
+                self.experiment_fp,
+                fingerprint(assignment),
+                mode,
+                experiment.measure_ticks(),
+                experiment.warmup_ticks(),
+                experiment.fault_fingerprint(),
+                || experiment.run(assignment, mode),
+            )
+            .map(|(outcome, _)| outcome)
     }
 
     /// Memoized [`Experiment::improvement_vs_static`]: returns
@@ -1165,7 +1083,7 @@ impl SweepEngine {
         let spec_json = spec.to_json();
         let compiled = self.compile(spec, &spec_json)?;
         let points = &compiled.points;
-        let modes_per_block = compiled.modes.len().max(1);
+        let modes_per_block = compiled.modes_per_block;
 
         // Journals are the exception: the common in-memory path skips the
         // manifest serialization and the filesystem open entirely.
@@ -1192,15 +1110,14 @@ impl SweepEngine {
             }
         }
 
-        // Chunked claiming hands all modes of one assignment block — one
-        // cache lane block — to the same worker, so its scratch simulation
-        // is reset (not rebuilt) between modes and the whole block is
-        // probed from the cache in one lock acquisition.
+        // Chunked claiming hands all modes of one assignment block to the
+        // same worker, so its scratch simulation is reset (not rebuilt)
+        // between modes.
         let solved = run_durable_indexed(
             self.jobs,
             points.len(),
             modes_per_block,
-            SweepScratch::new,
+            SweepScratch::default,
             |scratch, idx| {
                 if let Some(inject) = &options.panic_injector {
                     if inject(&points[idx]) {
@@ -1292,7 +1209,7 @@ impl SweepEngine {
         let compiled = Arc::new(CompiledSpec {
             points,
             blocks,
-            modes: spec.modes.clone(),
+            modes_per_block: modes_per_block.max(1),
         });
         let mut memo = self.compiled.lock().expect("compiled-spec memo lock");
         if memo.len() >= COMPILED_SPEC_MEMO_CAPACITY {
@@ -1304,65 +1221,21 @@ impl SweepEngine {
         Ok(compiled)
     }
 
-    /// Solves one point, reporting whether it was freshly computed
-    /// (journal-worthy) or a cache hit (free to reproduce on resume).
-    ///
-    /// The first point a worker sees of an assignment block probes the
-    /// block's whole cache lane block — every guardband mode — then
-    /// solves every lane the probe missed as *one wide-lane group*
-    /// ([`run_group`]): one scratch simulation per missing mode, all of
-    /// their sockets converging as lanes of a single
-    /// `SolveBatch<`[`GROUP_SOLVE_LANES`]`>`. Subsequent points of the
-    /// block are answered from the staged lanes without touching the
-    /// cache again.
+    /// Solves one point through the cache, reporting whether it was
+    /// freshly computed (journal-worthy) or a cache hit (free to
+    /// reproduce on resume). A miss runs on the worker's scratch
+    /// simulation, which is built once per assignment block and reset
+    /// between the block's modes.
     fn solve_point(
         &self,
         compiled: &CompiledSpec,
         idx: usize,
         scratch: &mut SweepScratch,
     ) -> Result<(PointResult, bool), SimError> {
-        let modes_per_block = compiled.modes.len().max(1);
-        let block_idx = idx / modes_per_block;
-        let lane = idx % modes_per_block;
+        let block_idx = idx / compiled.modes_per_block;
         let ctx = &compiled.blocks[block_idx];
         let point = &compiled.points[idx];
-
-        if scratch.prefetched_block != Some(block_idx) {
-            scratch.prefetched_block = Some(block_idx);
-            self.cache.probe_lanes(
-                ctx.experiment_fp,
-                ctx.assignment_fp,
-                &compiled.modes,
-                ctx.experiment.measure_ticks(),
-                ctx.experiment.warmup_ticks(),
-                ctx.fault_fp,
-                &mut scratch.prefetched,
-            );
-            scratch.computed.clear();
-            scratch.computed.resize(scratch.prefetched.len(), false);
-            if scratch.prefetched.iter().any(Option::is_none) {
-                self.solve_block_group(compiled, block_idx, scratch)?;
-            }
-        }
-        let computed = scratch.computed.get(lane).copied().unwrap_or(false);
-        if let Some(outcome) = scratch
-            .prefetched
-            .get_mut(lane)
-            .and_then(|slot| slot.take())
-        {
-            return Ok((
-                PointResult {
-                    point: point.clone(),
-                    outcome: (*outcome).clone(),
-                },
-                computed,
-            ));
-        }
-
-        // A lane can still be empty here when an earlier attempt at this
-        // block panicked mid-group (the retry re-enters with the block
-        // already marked prefetched). Solve it solo, memoized as before.
-        let (outcome, computed) = self.cache.solve_with_status(
+        let (outcome, computed) = self.cache.solve_with(
             ctx.experiment_fp,
             ctx.assignment_fp,
             point.mode,
@@ -1370,16 +1243,13 @@ impl SweepEngine {
             ctx.experiment.warmup_ticks(),
             ctx.fault_fp,
             || {
-                let sim = match scratch.sims.first_mut() {
-                    Some(sim) if scratch.sims_block == Some(block_idx) => sim,
-                    _ => {
+                let sim = match &mut scratch.sim {
+                    Some((block, sim)) if *block == block_idx => sim,
+                    slot => {
                         let sim = ctx
                             .experiment
                             .build_simulation(&ctx.assignment, point.mode)?;
-                        scratch.sims.clear();
-                        scratch.sims.push(sim);
-                        scratch.sims_block = Some(block_idx);
-                        &mut scratch.sims[0]
+                        &mut slot.insert((block_idx, sim)).1
                     }
                 };
                 ctx.experiment.run_with(sim, point.mode)
@@ -1393,120 +1263,23 @@ impl SweepEngine {
             computed,
         ))
     }
-
-    /// Solves every lane the block probe missed, batching all of their
-    /// sockets through one wide solve group. Cold blocks — the dominant
-    /// case on a fresh campaign — thus converge `modes.len()` runs in a
-    /// single kernel pass per tick instead of one pass per mode.
-    ///
-    /// Each group member is inserted into the cache through the same
-    /// memoized path a solo solve uses, so hit/miss accounting, journal
-    /// `computed` flags and cross-worker sharing are unchanged.
-    fn solve_block_group(
-        &self,
-        compiled: &CompiledSpec,
-        block_idx: usize,
-        scratch: &mut SweepScratch,
-    ) -> Result<(), SimError> {
-        let ctx = &compiled.blocks[block_idx];
-        let missing: Vec<usize> = scratch
-            .prefetched
-            .iter()
-            .enumerate()
-            .filter_map(|(lane, slot)| slot.is_none().then_some(lane))
-            .collect();
-
-        // One simulation per missing lane: the first is built (or reused
-        // from the previous block's group when the assignment matches),
-        // the rest are clones. `reset` reproduces fresh construction
-        // bitwise, so a clone's history is irrelevant.
-        if scratch.sims_block != Some(block_idx) {
-            scratch.sims.clear();
-            scratch.sims_block = Some(block_idx);
-        }
-        if scratch.sims.is_empty() {
-            scratch.sims.push(
-                ctx.experiment
-                    .build_simulation(&ctx.assignment, compiled.modes[missing[0]])?,
-            );
-        }
-        while scratch.sims.len() < missing.len() {
-            let clone = scratch.sims[0].clone();
-            scratch.sims.push(clone);
-        }
-        for (slot, &lane) in missing.iter().enumerate() {
-            scratch.sims[slot].reset(compiled.modes[lane])?;
-        }
-
-        let mut refs: Vec<&mut Simulation> = scratch.sims[..missing.len()].iter_mut().collect();
-        let summaries = run_group::<GROUP_SOLVE_LANES>(
-            &mut refs,
-            ctx.experiment.measure_ticks(),
-            ctx.experiment.warmup_ticks(),
-        );
-
-        for (&lane, summary) in missing.iter().zip(summaries) {
-            let outcome = ctx
-                .experiment
-                .outcome_from_summary(&ctx.assignment, summary);
-            // Registers the miss and publishes the entry; a duplicate
-            // mode in the spec degrades to a hit on its second lane,
-            // exactly as the solo path would.
-            let (outcome, computed) = self.cache.solve_with_status(
-                ctx.experiment_fp,
-                ctx.assignment_fp,
-                compiled.modes[lane],
-                ctx.experiment.measure_ticks(),
-                ctx.experiment.warmup_ticks(),
-                ctx.fault_fp,
-                || Ok(outcome),
-            )?;
-            scratch.prefetched[lane] = Some(outcome);
-            scratch.computed[lane] = computed;
-        }
-        Ok(())
-    }
 }
 
 /// A spec compiled to its solve plan: the expanded grid, the per-block
-/// solve contexts and the mode (lane) dimension. Memoized per engine —
-/// see [`SweepEngine::compile`].
+/// solve contexts and the number of modes (points) per block. Memoized
+/// per engine — see [`SweepEngine::compile`].
 #[derive(Debug)]
 struct CompiledSpec {
     points: Vec<GridPoint>,
     blocks: Vec<BlockContext>,
-    modes: Vec<GuardbandMode>,
+    modes_per_block: usize,
 }
 
-/// Lane width of the sweep workers' group solves: four two-socket
-/// servers per [`crate::solve::SolveBatch`] pass. Wide enough to converge
-/// a whole three-mode assignment block (6 lanes) in one kernel pass,
-/// measured profitable over 2-, 4- and 16-lane batches in
-/// `benches/solve.rs`.
-pub const GROUP_SOLVE_LANES: usize = 8;
-
-/// Per-worker scratch carried across a sweep: the reusable simulations
-/// (tagged with the assignment block they were built for, one per
-/// group-solved mode) and the current block's staged cache lanes with
-/// their journal `computed` flags.
+/// Per-worker scratch carried across a sweep: the reusable simulation,
+/// tagged with the assignment block it was built for.
+#[derive(Default)]
 struct SweepScratch {
-    sims: Vec<Simulation>,
-    sims_block: Option<usize>,
-    prefetched_block: Option<usize>,
-    prefetched: Vec<Option<Arc<Outcome>>>,
-    computed: Vec<bool>,
-}
-
-impl SweepScratch {
-    fn new() -> Self {
-        SweepScratch {
-            sims: Vec::new(),
-            sims_block: None,
-            prefetched_block: None,
-            prefetched: Vec::new(),
-            computed: Vec::new(),
-        }
-    }
+    sim: Option<(usize, Simulation)>,
 }
 
 /// One (workload, cores, placement) grid block's precomputed solve
@@ -1765,10 +1538,10 @@ mod tests {
 
     #[test]
     fn probe_lanes_counts_hits_per_present_lane() {
-        // A block probe is one lock acquisition but N lane lookups: the
-        // hit counter must advance once per *present* lane, and absent
-        // lanes must come back `None` without touching any counter
-        // (their miss is charged by the solve that follows).
+        // A block probe is N lane lookups: the hit counter must advance
+        // once per *present* lane, and absent lanes must come back `None`
+        // without touching any counter (their miss is charged by the
+        // solve that follows).
         let cache = SolveCache::new();
         let exp = Experiment::power7plus(3).with_ticks(3, 1);
         let w = Catalog::power7plus().get("radix").unwrap().clone();

@@ -34,11 +34,6 @@ pub const SEGMENT_WRITE_BOUNDS: &[f64] = &[
 /// interference.
 pub const CHUNK_WAIT_BOUNDS: &[f64] = &[1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1];
 
-/// Bucket bounds for solve-batch occupancy (lanes loaded per batched
-/// solve). A server tick batches its two sockets; sweep-scale batching can
-/// fill wider batches.
-pub const BATCH_OCCUPANCY_BOUNDS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
-
 /// Bucket bounds for lanes converging per batch iteration. Zero is a real
 /// observation (an iteration where every active lane kept moving).
 pub const LANES_CONVERGED_BOUNDS: &[f64] = &[0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
@@ -93,14 +88,6 @@ histogram_accessor!(
     "ags_solve_iterations",
     "Fixed-point solve iterations per socket window (warm starts converge in 1-3)",
     SOLVE_ITERATION_BOUNDS
-);
-
-histogram_accessor!(
-    /// Lanes loaded into each batched solve ([`crate::solve::SolveBatch`]).
-    solve_batch_occupancy,
-    "ags_solve_batch_occupancy",
-    "Occupied lanes per batched steady-state solve",
-    BATCH_OCCUPANCY_BOUNDS
 );
 
 histogram_accessor!(
@@ -212,7 +199,6 @@ pub fn register_all() {
     sim_ticks();
     margin_violations();
     solve_iterations();
-    solve_batch_occupancy();
     solve_lanes_converged();
     solve_cache_hits();
     solve_cache_misses();
@@ -251,7 +237,6 @@ mod tests {
             SOLVE_ITERATION_BOUNDS,
             SEGMENT_WRITE_BOUNDS,
             CHUNK_WAIT_BOUNDS,
-            BATCH_OCCUPANCY_BOUNDS,
             LANES_CONVERGED_BOUNDS,
         ] {
             assert!(bounds.windows(2).all(|w| w[0] < w[1]));

@@ -223,7 +223,7 @@ USAGE:
       Fleet-scale campaign: simulate N two-socket servers (default 1000)
       through an open-loop traffic shape. T: diurnal|flash-crowd|
       rolling-deploy (default diurnal). Servers are sharded across
-      workers and advanced through 16-lane solver batches; idle workers
+      workers, each server-epoch one memoized solve; idle workers
       steal whole shards, and stdout is byte-identical at any --jobs.
       Steal/cache/throughput stats go to stderr. Journal flags behave as
       in `ags sweep`; a resume rebuilds the campaign from the journal's

@@ -7,8 +7,10 @@
 //! without disturbing any other point's bits.
 
 use ags::control::GuardbandMode;
+use ags::fleet::{FleetEngine, FleetRunOptions, FleetSpec, ShardResult};
 use ags::sim::{
-    DurableOptions, RetryPolicy, SolveCache, SweepEngine, SweepReport, SweepRunOptions, SweepSpec,
+    std_fs, DurableOptions, JournalMode, PointResult, RetryPolicy, SolveCache, SweepEngine,
+    SweepReport, SweepRunOptions, SweepSpec,
 };
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -144,6 +146,78 @@ fn segment_count(journal: &Path) -> usize {
         .flatten()
         .filter(|e| e.file_name().to_string_lossy().starts_with("seg-"))
         .count()
+}
+
+/// Durable options that start a fresh journal at `dir`.
+fn journal_at(dir: &Path) -> DurableOptions {
+    DurableOptions {
+        journal: JournalMode::Start(dir.to_path_buf()),
+        ..DurableOptions::default()
+    }
+}
+
+/// Journal-worthiness comes only from the cache's `computed` flag: a cold
+/// campaign checkpoints exactly the solves it computed, and a fully warm
+/// rerun — every result a cache hit, free to reproduce — checkpoints
+/// nothing, for sweeps and fleets alike.
+#[test]
+fn only_computed_results_are_journaled() {
+    let dir = scratch("worthy");
+    let spec = quarantine_spec();
+    let sweeps = engine(2);
+    let cold = sweeps
+        .run_durable(
+            &spec,
+            &SweepRunOptions {
+                durable: journal_at(&dir.join("cold")),
+                panic_injector: None,
+            },
+        )
+        .expect("cold journaled sweep");
+    let recovered = JournalMode::Resume(dir.join("cold"))
+        .open_with::<PointResult>(&spec.manifest(), std_fs())
+        .expect("reopen cold journal");
+    assert!(cold.stats.cache.misses > 0);
+    assert_eq!(recovered.entries.len() as u64, cold.stats.cache.misses);
+
+    let warm = sweeps
+        .run_durable(
+            &spec,
+            &SweepRunOptions {
+                durable: journal_at(&dir.join("warm")),
+                panic_injector: None,
+            },
+        )
+        .expect("warm journaled sweep");
+    assert_eq!(warm.results_json(), cold.results_json());
+    assert_eq!(warm.stats.cache.misses, cold.stats.cache.misses);
+    assert_eq!(segment_count(&dir.join("warm")), 0);
+
+    let mut fleet = FleetSpec::smoke().with_scale(6, 3);
+    fleet.measure_ticks = 3;
+    fleet.warmup_ticks = 2;
+    fleet.shard_servers = 2;
+    let fleets = FleetEngine::with_cache(2, Arc::new(SolveCache::new()));
+    let fleet_run = |journal: &str| {
+        fleets
+            .run_durable(
+                &fleet,
+                &FleetRunOptions {
+                    durable: journal_at(&dir.join(journal)),
+                    panic_injector: None,
+                },
+            )
+            .expect("journaled fleet")
+    };
+    fleet_run("fleet-cold");
+    let shards = JournalMode::Resume(dir.join("fleet-cold"))
+        .open_with::<ShardResult>(&fleet.manifest(), std_fs())
+        .expect("reopen cold fleet journal");
+    assert!(!shards.entries.is_empty());
+    fleet_run("fleet-warm");
+    assert_eq!(segment_count(&dir.join("fleet-warm")), 0);
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The 16-point grid the quarantine property runs on.

@@ -96,10 +96,10 @@ fn droop_storm_shrinks_but_never_inverts_the_guardband() {
 
 #[test]
 fn faulted_lanes_never_reuse_healthy_cache_entries() {
-    // The sweep engine prefetches whole cache-lane blocks (one lane per
-    // guardband mode) in a single probe. The fault fingerprint is part
-    // of every lane key, so a faulted sweep over the same grid must not
-    // be answered from healthy entries — per lane, not per batch.
+    // The sweep engine solves every grid point (one per guardband mode
+    // of an assignment) through the memoized cache. The fault fingerprint
+    // is part of every key, so a faulted sweep over the same grid must
+    // not be answered from healthy entries.
     use ags::faults::FaultPlan;
     use ags::sim::{SolveCache, SweepEngine, SweepSpec};
     use std::sync::Arc;

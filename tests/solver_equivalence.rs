@@ -217,8 +217,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Jobs-invariance of the batched sweep path (mirrors
-    /// `tests/sweep_determinism.rs`): the engine's whole-lane claiming
-    /// and cache prefetch must not leak scheduling order into results.
+    /// `tests/sweep_determinism.rs`): the engine's chunked claiming and
+    /// memoized solves must not leak scheduling order into results.
     #[test]
     fn batched_sweeps_are_jobs_invariant(
         workload_mask in 1u32..64,
@@ -271,12 +271,11 @@ fn paper_grid_outcomes_are_bit_identical() {
 
 #[test]
 fn sweep_results_match_oracle_reruns_point_for_point() {
-    // The sweep engine claims whole mode-lanes per assignment block and
-    // reuses scratch simulations across a block. Re-solving each grid
-    // point individually on the oracle path must reproduce the sweep's
-    // stored outcome: the batched sweep machinery adds nothing beyond
-    // the solver itself. The 3-mode spec also exercises lane blocks
-    // whose width differs from the solver's socket batch width.
+    // The sweep engine claims all modes of an assignment block at once
+    // and reuses one scratch simulation across the block. Re-solving each
+    // grid point individually on the oracle path must reproduce the
+    // sweep's stored outcome: the sweep machinery adds nothing beyond
+    // the solver itself.
     let spec = SweepSpec::new(vec!["raytrace".into(), "radix".into()], vec![2, 5])
         .with_seed(11)
         .with_ticks(4, 2);
