@@ -5,7 +5,11 @@
 //! `fleet_campaign_warm` reruns the same campaign on
 //! the populated cache, so it times the probe/placement/rollup overhead
 //! that remains once memoization has absorbed the solves. The pair is
-//! the single-worker throughput number EXPERIMENTS.md quotes; the
+//! the single-worker throughput number EXPERIMENTS.md quotes.
+//! `fleet_diurnal_warm` reruns a quarter-scale default diurnal campaign
+//! (250 servers × 24 epochs) on a populated cache: every active
+//! server-epoch is a hit, so beyond compile and rollup it times only the
+//! per-server-epoch overhead: operating-point lookup and cache probe. The
 //! jobs-scaling claim is measured separately with `ags fleet --jobs N`
 //! on multi-core hardware (criterion pins one thread here).
 
@@ -46,5 +50,19 @@ fn bench_campaign_warm(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_campaign_cold, bench_campaign_warm);
+fn bench_diurnal_warm(c: &mut Criterion) {
+    let spec = FleetSpec::power7plus().with_scale(250, 24);
+    let engine = FleetEngine::with_cache(1, Arc::new(SolveCache::new()));
+    engine.run(&spec).expect("cache-priming campaign");
+    c.bench_function("fleet_diurnal_warm", |b| {
+        b.iter(|| black_box(engine.run(&spec).expect("warm diurnal campaign")));
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_campaign_cold,
+    bench_campaign_warm,
+    bench_diurnal_warm
+);
 criterion_main!(benches);

@@ -23,6 +23,18 @@
 //! *what* it computes, so load imbalance (a flash crowd concentrated in a
 //! few epochs, a drained rack finishing instantly) costs idle time on one
 //! worker instead of wall-clock on the campaign.
+//!
+//! # Operating points
+//!
+//! A server-epoch's placement is a pure function of (tenant workload,
+//! threads), and consolidation-first mapping puts most active servers at
+//! the same full 16-thread point in every epoch. So compilation places
+//! and fingerprints each distinct operating point the campaign visits
+//! once, into a read-only table indexed by catalog slot and thread count.
+//! An active server-epoch then costs one table lookup plus one solve-cache
+//! probe; the fingerprint is the same
+//! `fnv64(serde::json::to_string(&assignment))` a per-epoch placement
+//! would compute, so cache keys are unchanged.
 
 use crate::spec::FleetSpec;
 use crate::telemetry;
@@ -31,7 +43,7 @@ use ags_core::cluster::ClusterConfig;
 use p7_control::GuardbandMode;
 use p7_obs::trace;
 use p7_sim::journal::{fnv64, OpenedJournal};
-use p7_sim::sweep::{experiment_fingerprint, resolve_jobs, CacheStats};
+use p7_sim::sweep::{resolve_jobs, CacheStats};
 use p7_sim::{
     Assignment, DurableOptions, Experiment, FailedPoint, JournalMode, Outcome, RetryPolicy,
     ServerConfig, SimError, SolveCache,
@@ -292,18 +304,74 @@ pub struct FleetRunOptions {
     pub panic_injector: Option<ShardPanicInjector>,
 }
 
-/// One server's compiled identity: tenant workload, experiment runner and
-/// cache fingerprint, all pure functions of `(spec.seed, server index)`.
+/// One server's compiled identity: tenant workload (as its catalog
+/// slot), experiment runner and cache fingerprint, all pure functions of
+/// `(spec.seed, server index)`.
 struct Tenant {
-    workload: WorkloadProfile,
+    slot: usize,
     experiment: Experiment,
     experiment_fp: u64,
 }
 
-/// The compiled campaign: per-server tenants plus the spec.
+/// One fleet operating point: a tenant workload placed on a thread count,
+/// with the solve-cache fingerprint of that placement.
+struct OperatingPoint {
+    assignment: Assignment,
+    assignment_fp: u64,
+}
+
+impl OperatingPoint {
+    fn new(workload: &WorkloadProfile, threads: usize) -> Result<Self, SimError> {
+        let assignment = place(workload, threads)?;
+        let assignment_fp = fnv64(serde::json::to_string(&assignment).as_bytes());
+        Ok(OperatingPoint {
+            assignment,
+            assignment_fp,
+        })
+    }
+}
+
+/// The operating points a campaign visits, indexed by (catalog slot,
+/// threads). Filled once at compile time and read-only afterwards, so
+/// workers share it with no lock.
+struct OperatingPoints {
+    /// `points[slot * CORES_PER_SERVER + threads - 1]`.
+    points: Vec<Option<OperatingPoint>>,
+}
+
+impl OperatingPoints {
+    /// Places and fingerprints each distinct `(slot, threads)` pair once;
+    /// `threads` must be in `1..=CORES_PER_SERVER`.
+    fn place(
+        profiles: &[&WorkloadProfile],
+        pairs: impl IntoIterator<Item = (usize, usize)>,
+    ) -> Result<Self, SimError> {
+        let mut points: Vec<Option<OperatingPoint>> = (0..profiles.len() * CORES_PER_SERVER)
+            .map(|_| None)
+            .collect();
+        for (slot, threads) in pairs {
+            let cell = &mut points[slot * CORES_PER_SERVER + threads - 1];
+            if cell.is_none() {
+                *cell = Some(OperatingPoint::new(profiles[slot], threads)?);
+            }
+        }
+        Ok(OperatingPoints { points })
+    }
+
+    fn get(&self, slot: usize, threads: usize) -> &OperatingPoint {
+        self.points[slot * CORES_PER_SERVER + threads - 1]
+            .as_ref()
+            .expect("compile places every operating point the campaign offers")
+    }
+}
+
+/// The compiled campaign: the spec, per-server tenants and the operating
+/// points their offered threads visit.
 struct FleetContext {
     spec: FleetSpec,
+    profiles: Vec<&'static WorkloadProfile>,
     tenants: Vec<Tenant>,
+    points: OperatingPoints,
 }
 
 /// What one shard's isolated attempt loop produced (mirrors the sweep
@@ -439,39 +507,52 @@ impl FleetEngine {
     /// Expands the spec into per-server tenants. Seeds and tenant
     /// workloads derive from `spec.seed` with the same splitmix chain the
     /// sweep module uses for seed derivation, so every server gets
-    /// distinct silicon and a stable tenant.
+    /// distinct silicon and a stable tenant. Then places and fingerprints
+    /// every operating point the campaign's offered threads visit, once.
     fn compile(&self, spec: &FleetSpec) -> Result<FleetContext, SimError> {
         let catalog = Catalog::shared();
         spec.validate(catalog)?;
-        let profiles: Vec<&WorkloadProfile> = catalog.iter().collect();
+        let profiles: Vec<&'static WorkloadProfile> = catalog.iter().collect();
         let exec_model = ExecutionModel::power7plus();
-        let tenants = (0..spec.servers)
+        // Every tenant shares the execution model; only the silicon seed
+        // varies. Fingerprint the model once, as `experiment_fingerprint`
+        // mixes it.
+        let exec_fp = fnv64(serde::json::to_string(&exec_model).as_bytes()).rotate_left(17);
+        let tenants: Vec<Tenant> = (0..spec.servers)
             .map(|server| {
                 let silicon = splitmix(spec.seed ^ server as u64);
                 #[allow(clippy::cast_possible_truncation)]
                 let slot = (splitmix(silicon) % profiles.len() as u64) as usize;
-                let workload = profiles[slot].clone();
                 let experiment =
                     Experiment::with_config(ServerConfig::power7plus(silicon), exec_model.clone())
                         .with_ticks(spec.measure_ticks, spec.warmup_ticks);
-                let experiment_fp = experiment_fingerprint(&experiment);
+                let experiment_fp =
+                    fnv64(serde::json::to_string(experiment.config()).as_bytes()) ^ exec_fp;
                 Tenant {
-                    workload,
+                    slot,
                     experiment,
                     experiment_fp,
                 }
             })
             .collect();
+        let offered = tenants.iter().enumerate().flat_map(|(server, tenant)| {
+            (0..spec.epochs)
+                .map(move |epoch| (tenant.slot, offered_threads(spec, server, epoch)))
+                .filter(|&(_, threads)| threads > 0)
+        });
+        let points = OperatingPoints::place(&profiles, offered)?;
         Ok(FleetContext {
             spec: spec.clone(),
+            profiles,
             tenants,
+            points,
         })
     }
 
     /// Solves one shard: every server's trajectory through every epoch,
-    /// one memoized [`Experiment::run`] per active server-epoch. Returns
-    /// the result plus its journal-worthiness (any epoch actually
-    /// computed).
+    /// one operating-point lookup and one memoized [`Experiment::run`] per
+    /// active server-epoch. Returns the result plus its journal-worthiness
+    /// (any epoch actually computed).
     fn solve_shard(
         &self,
         ctx: &FleetContext,
@@ -483,7 +564,7 @@ impl FleetEngine {
             .clone()
             .map(|server| ServerResult {
                 server,
-                workload: ctx.tenants[server].workload.name().to_owned(),
+                workload: ctx.profiles[ctx.tenants[server].slot].name().to_owned(),
                 epochs: Vec::with_capacity(spec.epochs),
             })
             .collect();
@@ -498,15 +579,15 @@ impl FleetEngine {
                 }
                 telemetry::server_epochs().inc();
                 let tenant = &ctx.tenants[server];
-                let assignment = place(&tenant.workload, threads)?;
+                let point = ctx.points.get(tenant.slot, threads);
                 let (solved, computed) = self.cache.solve_with(
                     tenant.experiment_fp,
-                    fnv64(serde::json::to_string(&assignment).as_bytes()),
+                    point.assignment_fp,
                     FLEET_MODE,
                     spec.measure_ticks,
                     spec.warmup_ticks,
                     0,
-                    || tenant.experiment.run(&assignment, FLEET_MODE),
+                    || tenant.experiment.run(&point.assignment, FLEET_MODE),
                 )?;
                 journal_worthy |= computed;
                 result
@@ -802,6 +883,7 @@ fn splitmix(mut z: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::traffic::TrafficModel;
+    use p7_sim::sweep::experiment_fingerprint;
     use p7_sim::DEFAULT_CACHE_CAPACITY;
     use std::path::PathBuf;
 
@@ -866,6 +948,43 @@ mod tests {
                         .saturating_sub(rank * CORES_PER_SERVER)
                         .min(CORES_PER_SERVER);
                     assert_eq!(got, expect, "{traffic:?} s={s} e={epoch}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn operating_point_keys_match_per_epoch_placement() {
+        let profiles: Vec<&WorkloadProfile> = Catalog::shared().iter().collect();
+        let all = (0..profiles.len())
+            .flat_map(|slot| (1..=CORES_PER_SERVER).map(move |threads| (slot, threads)));
+        let points = OperatingPoints::place(&profiles, all).unwrap();
+        for (slot, workload) in profiles.iter().enumerate() {
+            for threads in 1..=CORES_PER_SERVER {
+                let point = points.get(slot, threads);
+                let placed = place(workload, threads).unwrap();
+                let key = fnv64(serde::json::to_string(&placed).as_bytes());
+                assert_eq!(point.assignment, placed, "{} x{threads}", workload.name());
+                assert_eq!(point.assignment_fp, key, "{} x{threads}", workload.name());
+            }
+        }
+    }
+
+    #[test]
+    fn compile_places_offered_points_and_keeps_experiment_keys() {
+        let spec = FleetSpec::smoke().with_scale(40, 20);
+        let ctx = fresh_engine(1).compile(&spec).unwrap();
+        for (server, tenant) in ctx.tenants.iter().enumerate() {
+            assert_eq!(
+                tenant.experiment_fp,
+                experiment_fingerprint(&tenant.experiment)
+            );
+            for epoch in 0..spec.epochs {
+                let threads = offered_threads(&spec, server, epoch);
+                if threads > 0 {
+                    let point = ctx.points.get(tenant.slot, threads);
+                    let workload = ctx.profiles[tenant.slot];
+                    assert_eq!(point.assignment, place(workload, threads).unwrap());
                 }
             }
         }

@@ -664,7 +664,12 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(move || {
                 let _c = push_context(ctx);
-                let _w = span("xthread_child", 1);
+                // The span records on drop; drop it before flushing, or
+                // the event waits for this thread's TLS destructor, which
+                // may run after the scope joins.
+                {
+                    let _w = span("xthread_child", 1);
+                }
                 flush();
             });
         });
